@@ -583,13 +583,6 @@ func (e *Engine) Query(ctx context.Context, name, guardSrc, query string, opts Q
 	}, nil
 }
 
-// QueryWithSpan is the pre-QueryOpts form.
-//
-// Deprecated: use Query with QueryOpts{Span: sp}.
-func (e *Engine) QueryWithSpan(ctx context.Context, name, guardSrc, query string, sp *obs.Span) (*QueryResult, error) {
-	return e.Query(ctx, name, guardSrc, query, QueryOpts{Span: sp})
-}
-
 // ctxErr reports a cancelled or expired context; a nil context never
 // cancels.
 func ctxErr(ctx context.Context) error {

@@ -435,24 +435,62 @@ func (db *DB) Get(key []byte) ([]byte, bool, error) {
 	return snap.Get(key)
 }
 
-// Get returns the value for key as of the snapshot's epoch.
+// Get returns the value for key as of the snapshot's epoch. It reads
+// the pages on the way down in place, allocating only the copy of the
+// value it returns.
 func (s *Snapshot) Get(key []byte) ([]byte, bool, error) {
 	atomic.AddInt64(&s.db.gets, 1)
 	id := s.root
 	for {
-		n, err := s.readNode(id)
+		buf, err := s.readPage(id)
 		if err != nil {
 			return nil, false, err
 		}
-		if n.typ == pageLeaf {
-			i, found := search(n.keys, key)
-			if !found {
+		if len(buf) > 0 && buf[0] == pageLeaf {
+			var v leafView
+			if err := v.parse(buf); err != nil {
+				return nil, false, err
+			}
+			i := v.search(key)
+			if i == v.count() || !bytes.Equal(v.key(i), key) {
 				return nil, false, nil
 			}
-			return n.vals[i], true, nil
+			return append([]byte(nil), v.val(i)...), true, nil
 		}
-		id = n.children[childIndex(n.keys, key)]
+		if id, err = internalChild(buf, key); err != nil {
+			return nil, false, err
+		}
 	}
+}
+
+// internalChild returns the child of internal page buf that holds key —
+// the one childIndex picks — reading the page in place.
+func internalChild(buf, key []byte) (uint32, error) {
+	if len(buf) < 3 || buf[0] != pageInternal {
+		return 0, fmt.Errorf("kvstore: corrupt internal page")
+	}
+	nkeys := int(binary.BigEndian.Uint16(buf[1:]))
+	off := 3 + 4*(nkeys+1)
+	if off > len(buf) {
+		return 0, fmt.Errorf("kvstore: corrupt internal page")
+	}
+	// Child i holds the keys below separator i, so key belongs to the
+	// child after the last separator <= key.
+	i := 0
+	for ; i < nkeys; i++ {
+		if off+2 > len(buf) {
+			return 0, fmt.Errorf("kvstore: corrupt page: key %d", i)
+		}
+		kl := int(binary.BigEndian.Uint16(buf[off:]))
+		if off+2+kl > len(buf) {
+			return 0, fmt.Errorf("kvstore: corrupt page: key %d length", i)
+		}
+		if bytes.Compare(buf[off+2:off+2+kl], key) > 0 {
+			break
+		}
+		off += 2 + kl
+	}
+	return binary.BigEndian.Uint32(buf[3+4*i:]), nil
 }
 
 // Put inserts or replaces a key. The mutation is one transaction:

@@ -60,6 +60,9 @@ func (v *leafView) parse(buf []byte) error {
 	v.buf = buf
 	nkeys := int(binary.BigEndian.Uint16(buf[1:]))
 	v.next = binary.BigEndian.Uint32(buf[3:])
+	if cap(v.offs) < nkeys {
+		v.offs = make([]int32, 0, nkeys)
+	}
 	v.offs = v.offs[:0]
 	off := 7
 	for i := 0; i < nkeys; i++ {

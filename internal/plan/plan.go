@@ -185,7 +185,7 @@ func (c *classifier) sourced(tn *semantics.TNode, join string) {
 // nodes are never checked by the renderer, so they do not constrain
 // streamability either.
 func (c *classifier) wrapper(tn *semantics.TNode, join string) {
-	first := firstSourced(tn)
+	first := tn.FirstSourced()
 	if first == nil {
 		return // static fill subtree: manufactured kids only
 	}
@@ -240,13 +240,4 @@ func (c *classifier) require(req *semantics.TNode, join string) {
 	for _, kid := range req.Kids {
 		c.require(kid, req.Source)
 	}
-}
-
-func firstSourced(tn *semantics.TNode) *semantics.TNode {
-	for _, k := range tn.Kids {
-		if k.Source != "" {
-			return k
-		}
-	}
-	return nil
 }

@@ -17,48 +17,15 @@ import (
 // output pass begins. Output equals Render exactly. Span annotations
 // match Render's; the recorder is shared across the prefetch workers.
 func RenderParallel(doc Source, tgt *semantics.Target, sp *obs.Span) (*xmltree.Document, error) {
-	var rec *closest.Recorder
-	if sp != nil {
-		rec = &closest.Recorder{}
-	}
-	r := &renderer{
-		doc:   doc,
-		b:     xmltree.NewBuilder(),
-		joins: prefetchJoins(doc, tgt, runtime.GOMAXPROCS(0), rec),
-		rec:   rec,
-	}
-	emitted := false
-	for _, root := range tgt.Roots {
-		if root.Source == "" {
-			if r.emitWrapperRoot(root) {
-				emitted = true
-			}
-			continue
-		}
-		for _, v := range doc.NodesOfType(root.Source) {
-			if !r.satisfies(v, root.Require) {
-				continue
-			}
-			r.emitNode(root, v)
-			emitted = true
-		}
-	}
-	if !emitted {
-		annotateJoins(sp, rec, 0)
-		return &xmltree.Document{}, nil
-	}
-	out, err := r.b.Document()
-	if err != nil {
-		return nil, err
-	}
-	annotateJoins(sp, rec, out.Size())
-	return out, nil
+	r := newRenderer(doc, sp)
+	r.joins = prefetchJoins(doc, tgt, runtime.GOMAXPROCS(0), r.rec)
+	return r.tree(tgt, sp, nil)
 }
 
 // joinEdges collects every (parent source type, child source type) pair
-// the renderer will join for the target, mirroring the rendering
-// recursion. Missing a pair is harmless — the renderer computes it lazily
-// — but the collector aims to cover them all.
+// the render walk will join for the target, following its recursion.
+// Missing a pair is harmless — the walk computes it lazily — but the
+// collector aims to cover them all.
 func joinEdges(tgt *semantics.Target) [][2]string {
 	seen := map[joinKey]bool{}
 	var out [][2]string
@@ -87,7 +54,7 @@ func joinEdges(tgt *semantics.Target) [][2]string {
 		if n.Source == "" {
 			// Wrapper: joins anchor on the first sourced child, then its
 			// siblings join from that child's instances.
-			first := firstSourced(n)
+			first := n.FirstSourced()
 			if first != nil {
 				add(parentSrc, first.Source)
 				reqs(first.Source, first.Require)

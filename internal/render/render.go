@@ -29,14 +29,15 @@ type Source interface {
 // Render transforms doc into the arrangement described by tgt, preserving
 // closest relationships (Definition 4). Every output element and attribute
 // carries Src provenance to the source vertex it was rendered from;
-// manufactured (NEW / TYPE-FILL) elements have no provenance.
+// manufactured (NEW / TYPE-FILL) elements have no provenance. Each
+// element's children list its attributes first, as parsing lists them.
 //
 // When sp is non-nil, Render records the closest-join statistics (joins,
 // candidate nodes scanned, closest pairs kept) and the output node count
 // on it. The span's lifetime belongs to the caller (Render neither
 // creates children nor ends it); a nil sp adds no allocations.
 func Render(doc Source, tgt *semantics.Target, sp *obs.Span) (*xmltree.Document, error) {
-	return render(doc, tgt, sp, nil)
+	return newRenderer(doc, sp).tree(tgt, sp, nil)
 }
 
 // RenderAnnotated is Render plus a provenance map from every output node
@@ -45,48 +46,46 @@ func Render(doc Source, tgt *semantics.Target, sp *obs.Span) (*xmltree.Document,
 // in place when the source changes.
 func RenderAnnotated(doc Source, tgt *semantics.Target, sp *obs.Span) (*xmltree.Document, map[*xmltree.Node]*semantics.TNode, error) {
 	prov := map[*xmltree.Node]*semantics.TNode{}
-	out, err := render(doc, tgt, sp, prov)
+	out, err := newRenderer(doc, sp).tree(tgt, sp, prov)
 	return out, prov, err
 }
 
-func render(doc Source, tgt *semantics.Target, sp *obs.Span, prov map[*xmltree.Node]*semantics.TNode) (*xmltree.Document, error) {
-	var rec *closest.Recorder
-	if sp != nil {
-		rec = &closest.Recorder{}
+// Unit renders one emission of target type tn from source vertex v as a
+// detached subtree, for patching a materialized output in place: a
+// sourced type's element (or, inElem, the attribute an attribute-typed
+// leaf becomes inside an element), or one instance of a wrapper anchored
+// on v. It joins through partners instead of sort-merge joins over whole
+// type sequences, and records every node it builds in prov.
+func Unit(tn *semantics.TNode, v *xmltree.Node, inElem bool, partners func(v *xmltree.Node, t string) []*xmltree.Node, prov map[*xmltree.Node]*semantics.TNode) *xmltree.Node {
+	b := xmltree.NewBuilder()
+	r := &renderer{b: b, join: partners, prov: prov}
+	holder := b.Open("", nil) // stands in for the unit's parent
+	if inElem && tn.AttrLeaf() {
+		r.attr(tn, v)
+	} else {
+		r.element(tn, anchor(tn), v)
 	}
-	r := &renderer{
-		doc:   doc,
-		b:     xmltree.NewBuilder(),
-		joins: map[joinKey]*closest.Grouped{},
-		rec:   rec,
-		prov:  prov,
-	}
-	emitted := false
-	for _, root := range tgt.Roots {
-		if root.Source == "" {
-			if r.emitWrapperRoot(root) {
-				emitted = true
-			}
-			continue
-		}
-		for _, v := range doc.NodesOfType(root.Source) {
-			if !r.satisfies(v, root.Require) {
-				continue
-			}
-			r.emitNode(root, v)
-			emitted = true
-		}
-	}
-	if !emitted {
+	unit := holder.Children[0]
+	unit.Parent = nil
+	return unit
+}
+
+// tree runs the walk into a new document, recording each node's target
+// type in prov when it is non-nil.
+func (r *renderer) tree(tgt *semantics.Target, sp *obs.Span, prov map[*xmltree.Node]*semantics.TNode) (*xmltree.Document, error) {
+	b := xmltree.NewBuilder()
+	r.b, r.prov = b, prov
+	r.walk(tgt)
+	if b.Last() == nil {
 		// Legal: the target types may simply have no instances.
-		annotateJoins(sp, rec, 0)
+		annotateJoins(sp, r.rec, 0)
 		return &xmltree.Document{}, nil
 	}
-	out, err := r.b.Document()
+	out, err := b.Document()
 	if err != nil {
 		return nil, fmt.Errorf("render: %w", err)
 	}
-	annotateJoins(sp, rec, out.Size())
+	annotateJoins(sp, r.rec, out.Size())
 	return out, nil
 }
 
@@ -104,9 +103,23 @@ func annotateJoins(sp *obs.Span, rec *closest.Recorder, nodesOut int) {
 
 type joinKey struct{ parent, child string }
 
+// emitter receives the walk's output in document order. *xmltree.Builder
+// builds the output tree; *xmltree.Writer streams it as XML.
+type emitter interface {
+	Open(name string, src *xmltree.Node) *xmltree.Node
+	Attribute(name, value string, src *xmltree.Node) *xmltree.Node
+	CharData(s string)
+	Close(name string)
+}
+
+// renderer is one render traversal of a composed target: the walk below
+// pairs closest nodes through join and drives the emitter b.
 type renderer struct {
 	doc Source
-	b   *xmltree.Builder
+	b   emitter
+	// join returns the closest partners of type t for vertex v, in
+	// document order: closestOf, or a caller's local computation (Unit).
+	join func(v *xmltree.Node, t string) []*xmltree.Node
 	// joins caches the grouped closest join for each (parent type, child
 	// type) pair in closest.Grouped's CSR layout: one contiguous partner
 	// slice plus offsets indexed by the parent's Ord — no per-parent map
@@ -115,15 +128,19 @@ type renderer struct {
 	// rec accumulates join statistics for tracing; nil when untraced.
 	rec *closest.Recorder
 	// prov, when non-nil, records the target type behind each emitted
-	// node (RenderAnnotated).
+	// node (RenderAnnotated, Unit).
 	prov map[*xmltree.Node]*semantics.TNode
 }
 
-// mark records provenance for the node just emitted.
-func (r *renderer) mark(tn *semantics.TNode) {
-	if r.prov != nil {
-		r.prov[r.b.Last()] = tn
+// newRenderer returns a renderer joining over doc's type sequences with
+// an empty join cache; it records join statistics when sp is non-nil.
+func newRenderer(doc Source, sp *obs.Span) *renderer {
+	r := &renderer{doc: doc, joins: map[joinKey]*closest.Grouped{}}
+	if sp != nil {
+		r.rec = &closest.Recorder{}
 	}
+	r.join = r.closestOf
+	return r
 }
 
 // closestOf returns the child-type nodes closest to v, from the cached
@@ -146,7 +163,7 @@ func (r *renderer) satisfies(v *xmltree.Node, reqs []*semantics.TNode) bool {
 			continue
 		}
 		found := false
-		for _, w := range r.closestOf(v, req.Source) {
+		for _, w := range r.join(v, req.Source) {
 			if r.satisfies(w, req.Kids) {
 				found = true
 				break
@@ -159,135 +176,108 @@ func (r *renderer) satisfies(v *xmltree.Node, reqs []*semantics.TNode) bool {
 	return true
 }
 
-// emitNode renders source vertex v as target type tn, then recursively
-// renders tn's children from v's closest partners.
-func (r *renderer) emitNode(tn *semantics.TNode, v *xmltree.Node) {
-	// A leaf rendered from an attribute vertex stays an attribute when it
-	// sits inside an element; everything else renders as an element.
-	if v.Attr && len(tn.Kids) == 0 && r.b.Open() {
-		r.b.Attr(tn.Name, v.Value)
-		r.b.Last().Src = v
-		r.mark(tn)
+// walk renders the target's roots in order.
+func (r *renderer) walk(tgt *semantics.Target) {
+	for _, root := range tgt.Roots {
+		r.emit(root, nil)
+	}
+}
+
+// emit renders target type tn once per instance of its anchor that
+// meets the anchor's RESTRICT requirements: the anchor's closest partners
+// of v, the vertex the enclosing element was rendered from, or all its
+// instances at the top level (v nil). A manufactured type without a
+// sourced kid renders once, as a fill.
+func (r *renderer) emit(tn *semantics.TNode, v *xmltree.Node) {
+	a := anchor(tn)
+	if a == nil {
+		r.fill(tn)
 		return
 	}
-	r.b.Elem(tn.Name)
-	r.b.Last().Src = v
-	r.mark(tn)
-	if v.Value != "" {
-		r.b.Text(v.Value)
+	var ws []*xmltree.Node
+	if v == nil {
+		ws = r.doc.NodesOfType(a.Source)
+	} else {
+		ws = r.join(v, a.Source)
 	}
-	r.emitKids(tn, v)
-	r.b.End()
+	for _, w := range ws {
+		if r.satisfies(w, a.Require) {
+			r.element(tn, a, w)
+		}
+	}
 }
 
-// emitKids renders tn's children below the already-open output element,
-// joining from source vertex v.
-func (r *renderer) emitKids(tn *semantics.TNode, v *xmltree.Node) {
+// element renders one element of type tn from instance v of its anchor
+// a: for a sourced type (a == tn) its own element, carrying v's text and
+// provenance; for a wrapper one instance around kid a rendered from v.
+// Kids join from v. Attribute kids come first, then the text, then the
+// element kids in target order, save that a wrapper's anchor leads.
+func (r *renderer) element(tn, a *semantics.TNode, v *xmltree.Node) {
+	src, text := v, v.Value
+	if a != tn {
+		src, text = nil, ""
+	}
+	r.open(tn, src)
+	for _, kid := range tn.Kids {
+		switch {
+		case !kid.AttrLeaf():
+		case kid == a:
+			r.attr(kid, v)
+		default:
+			for _, w := range r.join(v, kid.Source) {
+				if r.satisfies(w, kid.Require) {
+					r.attr(kid, w)
+				}
+			}
+		}
+	}
+	if text != "" {
+		r.b.CharData(text)
+	}
+	if a != tn && !a.AttrLeaf() {
+		r.element(a, a, v)
+	}
+	for _, kid := range tn.Kids {
+		if kid != a && !kid.AttrLeaf() {
+			r.emit(kid, v)
+		}
+	}
+	r.b.Close(tn.Name)
+}
+
+// fill renders a manufactured type that has no sourced kid, with its
+// manufactured kids; sourced types below it have nothing to render from.
+func (r *renderer) fill(tn *semantics.TNode) {
+	r.open(tn, nil)
 	for _, kid := range tn.Kids {
 		if kid.Source == "" {
-			r.emitWrapper(kid, v)
-			continue
+			r.fill(kid)
 		}
-		for _, w := range r.closestOf(v, kid.Source) {
-			if !r.satisfies(w, kid.Require) {
-				continue
-			}
-			r.emitNode(kid, w)
-		}
+	}
+	r.b.Close(tn.Name)
+}
+
+func (r *renderer) open(tn *semantics.TNode, src *xmltree.Node) {
+	r.mark(r.b.Open(tn.Name, src), tn)
+}
+
+// attr renders attribute-typed leaf tn from attribute vertex v; the
+// attribute carries the target name (visible under TRANSLATE).
+func (r *renderer) attr(tn *semantics.TNode, v *xmltree.Node) {
+	r.mark(r.b.Attribute(tn.Name, v.Value, v), tn)
+}
+
+func (r *renderer) mark(n *xmltree.Node, tn *semantics.TNode) {
+	if r.prov != nil {
+		r.prov[n] = tn
 	}
 }
 
-// emitWrapper renders a manufactured (NEW or TYPE-FILL) target type below
-// the current output element: one wrapper per instance of its first
-// sourced child, joined from parent vertex v; remaining children attach by
-// closeness to that instance. A childless wrapper renders as a single
-// empty element (DESIGN.md's documented choice).
-func (r *renderer) emitWrapper(tn *semantics.TNode, v *xmltree.Node) {
-	first := firstSourced(tn)
-	if first == nil {
-		r.b.Elem(tn.Name)
-		r.mark(tn)
-		r.emitFillKids(tn)
-		r.b.End()
-		return
+// anchor returns the type whose instances drive tn's emissions: tn itself
+// when sourced, a wrapper's first sourced kid, nil for a fill.
+func anchor(tn *semantics.TNode) *semantics.TNode {
+	if tn.Source != "" {
+		return tn
 	}
-	for _, w := range r.closestOf(v, first.Source) {
-		if !r.satisfies(w, first.Require) {
-			continue
-		}
-		r.b.Elem(tn.Name)
-		r.mark(tn)
-		r.emitNode(first, w)
-		r.emitSiblingsOf(tn, first, w)
-		r.b.End()
-	}
-}
-
-// emitWrapperRoot renders a manufactured target root: one wrapper per
-// instance of its first sourced child, or a single empty element when it
-// has none. It reports whether anything was emitted.
-func (r *renderer) emitWrapperRoot(tn *semantics.TNode) bool {
-	first := firstSourced(tn)
-	if first == nil {
-		r.b.Elem(tn.Name)
-		r.mark(tn)
-		r.emitFillKids(tn)
-		r.b.End()
-		return true
-	}
-	emitted := false
-	for _, w := range r.doc.NodesOfType(first.Source) {
-		if !r.satisfies(w, first.Require) {
-			continue
-		}
-		r.b.Elem(tn.Name)
-		r.mark(tn)
-		r.emitNode(first, w)
-		r.emitSiblingsOf(tn, first, w)
-		r.b.End()
-		emitted = true
-	}
-	return emitted
-}
-
-// emitSiblingsOf renders the wrapper's remaining children, joined by
-// closeness to the first child's instance w.
-func (r *renderer) emitSiblingsOf(wrapper, first *semantics.TNode, w *xmltree.Node) {
-	for _, kid := range wrapper.Kids {
-		if kid == first {
-			continue
-		}
-		if kid.Source == "" {
-			r.emitWrapper(kid, w)
-			continue
-		}
-		for _, u := range r.closestOf(w, kid.Source) {
-			if !r.satisfies(u, kid.Require) {
-				continue
-			}
-			r.emitNode(kid, u)
-		}
-	}
-}
-
-// emitFillKids renders the manufactured children of a childless-sourced
-// wrapper (nested NEW / TYPE-FILL types with no data below them).
-func (r *renderer) emitFillKids(tn *semantics.TNode) {
-	for _, kid := range tn.Kids {
-		if kid.Source == "" {
-			r.b.Elem(kid.Name)
-			r.mark(kid)
-			r.emitFillKids(kid)
-			r.b.End()
-		}
-	}
-}
-
-func firstSourced(tn *semantics.TNode) *semantics.TNode {
-	for _, k := range tn.Kids {
-		if k.Source != "" {
-			return k
-		}
-	}
-	return nil
+	return tn.FirstSourced()
 }

@@ -251,11 +251,39 @@ func TestRenderComposeDrop(t *testing.T) {
 	}
 }
 
+// TestRenderAttributesRoundTrip: attributes survive rendering, and the
+// rendered tree is the one parsing its own bytes gives — node for node,
+// so each element lists its attributes first, as the parser does, even
+// where the target names an element kid before an attribute kid.
 func TestRenderAttributesRoundTrip(t *testing.T) {
-	const src = `<site><item id="i1"><name>bicycle</name></item><item id="i2"><name>car</name></item></site>`
-	out := run(t, "MUTATE site", src)
-	if out.XML(false) != xmltree.MustParse(src).XML(false) {
-		t.Errorf("attribute identity failed:\n%s", out.XML(false))
+	for _, tc := range []struct{ guard, src string }{
+		{"MUTATE site", `<site><item id="i1"><name>bicycle</name></item><item id="i2"><name>car</name></item></site>`},
+		{"MORPH item [ name id ]", `<item id="i1"><name>bicycle</name></item>`},
+	} {
+		out := run(t, tc.guard, tc.src)
+		if out.XML(false) != xmltree.MustParse(tc.src).XML(false) {
+			t.Errorf("%s: attribute identity failed:\n%s", tc.guard, out.XML(false))
+		}
+		assertParsesBack(t, out)
+	}
+}
+
+// assertParsesBack checks that out's nodes, in Nodes() order, match those
+// of parsing out's own serialization: name, attribute flag, value and
+// Dewey number. A forest parses under a stand-in root.
+func assertParsesBack(t *testing.T, out *xmltree.Document) {
+	t.Helper()
+	parsed := xmltree.MustParse("<forest>" + out.XML(false) + "</forest>").Nodes()[1:]
+	got := out.Nodes()
+	if len(got) != len(parsed) {
+		t.Fatalf("rendered %d nodes, parsed back %d", len(got), len(parsed))
+	}
+	for i, n := range got {
+		p := parsed[i]
+		if n.Name != p.Name || n.Attr != p.Attr || n.Value != p.Value || !n.Dewey.Equal(p.Dewey[1:]) {
+			t.Errorf("node %d: rendered %s=%q at %s, parsed %s=%q at %s",
+				i, n.Name, n.Value, n.Dewey, p.Name, p.Value, p.Dewey[1:])
+		}
 	}
 }
 

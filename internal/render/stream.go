@@ -1,10 +1,8 @@
 package render
 
 import (
-	"bufio"
 	"io"
 
-	"xmorph/internal/closest"
 	"xmorph/internal/obs"
 	"xmorph/internal/semantics"
 	"xmorph/internal/xmltree"
@@ -13,7 +11,8 @@ import (
 // Stream renders the transformation directly to w without materializing
 // the output tree — Section VII's observation that "a transformation can
 // immediately produce output, and stream the output node by node (in
-// document order)". Closest joins still run over whole type sequences
+// document order)". It is Render's walk driving an xmltree.Writer instead
+// of a Builder. Closest joins still run over whole type sequences
 // (sort-merge needs both sides), but output memory stays constant: nothing
 // of the result is retained. (internal/stream goes further for targets the
 // planner marks streamable, dropping the joins too.)
@@ -27,305 +26,14 @@ import (
 // written on sp. The span's lifetime belongs to the caller; a nil sp
 // changes nothing.
 func Stream(doc Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int, error) {
-	var (
-		rec *closest.Recorder
-		cw  *countingWriter
-	)
+	r := newRenderer(doc, sp)
+	xw := xmltree.NewWriter(w)
+	r.b = xw
+	r.walk(tgt)
+	err := xw.Flush()
 	if sp != nil {
-		rec = &closest.Recorder{}
-		cw = &countingWriter{w: w}
-		w = cw
+		annotateJoins(sp, r.rec, xw.Nodes())
+		sp.Set("bytes-out", xw.Bytes())
 	}
-	bw := bufio.NewWriter(w)
-	s := &streamer{
-		renderer: renderer{doc: doc, joins: map[joinKey]*closest.Grouped{}, rec: rec},
-		w:        bw,
-	}
-	for _, root := range tgt.Roots {
-		if root.Source == "" {
-			s.streamWrapperRoot(root)
-			continue
-		}
-		for _, v := range doc.NodesOfType(root.Source) {
-			if !s.satisfies(v, root.Require) {
-				continue
-			}
-			s.sep()
-			s.streamNode(root, v)
-		}
-	}
-	// The final flush must run even after a write error (it is a no-op
-	// then), and a flush failure must surface when the render itself
-	// succeeded: the buffer tail only reaches the sink here.
-	err := s.err
-	if ferr := bw.Flush(); err == nil {
-		err = ferr
-	}
-	if sp != nil {
-		annotateJoins(sp, rec, s.count)
-		sp.Set("bytes-out", cw.n)
-	}
-	return s.count, err
-}
-
-// countingWriter counts bytes on their way to the sink (placed under the
-// bufio layer, so it sees flushed output only).
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-type streamer struct {
-	renderer
-	w     *bufio.Writer
-	count int
-	wrote bool // a root was already written (forest separator state)
-	err   error
-}
-
-func (s *streamer) str(x string) {
-	if s.err != nil {
-		return
-	}
-	_, s.err = s.w.WriteString(x)
-}
-
-func (s *streamer) text(x string) {
-	if s.err != nil {
-		return
-	}
-	s.err = xmltree.EscapeText(s.w, x)
-}
-
-func (s *streamer) attrVal(x string) {
-	if s.err != nil {
-		return
-	}
-	s.err = xmltree.EscapeAttr(s.w, x)
-}
-
-// sep writes the forest separator between root trees (matching
-// Document.XML(false)).
-func (s *streamer) sep() {
-	if s.wrote {
-		s.str("\n")
-	}
-	s.wrote = true
-}
-
-// openTag closes the pending open tag with ">" exactly once; an element
-// whose flag stays false self-closes — matching the serializer, which
-// self-closes exactly when an element has no text and no element children.
-func (s *streamer) openTag(closed *bool) {
-	if !*closed {
-		s.str(">")
-		*closed = true
-	}
-}
-
-// rendersAsAttr mirrors the tree renderer's criterion: an attribute-
-// sourced leaf type inside an element stays an attribute.
-func rendersAsAttr(tn *semantics.TNode, v *xmltree.Node) bool {
-	return v.Attr && len(tn.Kids) == 0
-}
-
-func (s *streamer) writeAttr(name, val string) {
-	s.count++
-	s.str(" ")
-	s.str(name)
-	s.str(`="`)
-	s.attrVal(val)
-	s.str(`"`)
-}
-
-// streamNode writes one element: open tag with attribute kids, own text,
-// element kids, close tag — self-closing when nothing followed the tag.
-func (s *streamer) streamNode(tn *semantics.TNode, v *xmltree.Node) {
-	s.count++
-	s.str("<")
-	s.str(tn.Name)
-
-	// Attribute kids go into the open tag, in kid order; the element
-	// partners are kept for the second pass.
-	type elemKid struct {
-		kid      *semantics.TNode
-		partners []*xmltree.Node
-	}
-	var elems []elemKid
-	for _, kid := range tn.Kids {
-		if kid.Source == "" {
-			elems = append(elems, elemKid{kid: kid})
-			continue
-		}
-		var kept []*xmltree.Node
-		for _, wn := range s.closestOf(v, kid.Source) {
-			if !s.satisfies(wn, kid.Require) {
-				continue
-			}
-			if rendersAsAttr(kid, wn) {
-				// The attribute carries the target name, as the tree
-				// renderer's Builder.Attr does (visible under TRANSLATE).
-				s.writeAttr(kid.Name, wn.Value)
-				continue
-			}
-			kept = append(kept, wn)
-		}
-		if len(kept) > 0 {
-			elems = append(elems, elemKid{kid: kid, partners: kept})
-		}
-	}
-
-	closed := false
-	if v.Value != "" {
-		s.openTag(&closed)
-		s.text(v.Value)
-	}
-	for _, e := range elems {
-		if e.kid.Source == "" {
-			s.streamWrapper(e.kid, v, &closed)
-			continue
-		}
-		for _, wn := range e.partners {
-			s.openTag(&closed)
-			s.streamNode(e.kid, wn)
-		}
-	}
-	if !closed {
-		s.str("/>")
-		return
-	}
-	s.str("</")
-	s.str(tn.Name)
-	s.str(">")
-}
-
-// streamWrapper mirrors emitWrapper: one manufactured element per instance
-// of the wrapper's first sourced child. The parent's tag stays open until
-// the wrapper actually emits something, so childless parents still
-// self-close.
-func (s *streamer) streamWrapper(tn *semantics.TNode, v *xmltree.Node, closed *bool) {
-	first := firstSourced(tn)
-	if first == nil {
-		s.openTag(closed)
-		s.streamFill(tn)
-		return
-	}
-	for _, wn := range s.closestOf(v, first.Source) {
-		if !s.satisfies(wn, first.Require) {
-			continue
-		}
-		s.openTag(closed)
-		s.streamInstance(tn, first, wn)
-	}
-}
-
-func (s *streamer) streamWrapperRoot(tn *semantics.TNode) {
-	first := firstSourced(tn)
-	if first == nil {
-		s.sep()
-		s.streamFill(tn)
-		return
-	}
-	for _, wn := range s.doc.NodesOfType(first.Source) {
-		if !s.satisfies(wn, first.Require) {
-			continue
-		}
-		s.sep()
-		s.streamInstance(tn, first, wn)
-	}
-}
-
-// streamInstance writes one wrapper element around anchor instance wn:
-// attribute-rendering kids land in the wrapper's tag (as the Builder puts
-// them), and an instance with only attributes self-closes.
-func (s *streamer) streamInstance(tn, first *semantics.TNode, wn *xmltree.Node) {
-	s.count++
-	s.str("<")
-	s.str(tn.Name)
-	firstAttr := rendersAsAttr(first, wn)
-	if firstAttr {
-		s.writeAttr(first.Name, wn.Value)
-	}
-	type elemKid struct {
-		kid      *semantics.TNode
-		partners []*xmltree.Node
-	}
-	var elems []elemKid
-	for _, kid := range tn.Kids {
-		if kid == first {
-			continue
-		}
-		if kid.Source == "" {
-			elems = append(elems, elemKid{kid: kid})
-			continue
-		}
-		var kept []*xmltree.Node
-		for _, u := range s.closestOf(wn, kid.Source) {
-			if !s.satisfies(u, kid.Require) {
-				continue
-			}
-			if rendersAsAttr(kid, u) {
-				s.writeAttr(kid.Name, u.Value)
-				continue
-			}
-			kept = append(kept, u)
-		}
-		if len(kept) > 0 {
-			elems = append(elems, elemKid{kid: kid, partners: kept})
-		}
-	}
-	closed := false
-	if !firstAttr {
-		s.openTag(&closed)
-		s.streamNode(first, wn)
-	}
-	for _, e := range elems {
-		if e.kid.Source == "" {
-			s.streamWrapper(e.kid, wn, &closed)
-			continue
-		}
-		for _, u := range e.partners {
-			s.openTag(&closed)
-			s.streamNode(e.kid, u)
-		}
-	}
-	if !closed {
-		s.str("/>")
-		return
-	}
-	s.str("</")
-	s.str(tn.Name)
-	s.str(">")
-}
-
-// streamFill writes a childless-sourced wrapper and its manufactured kids.
-func (s *streamer) streamFill(tn *semantics.TNode) {
-	s.count++
-	var manufactured []*semantics.TNode
-	for _, kid := range tn.Kids {
-		if kid.Source == "" {
-			manufactured = append(manufactured, kid)
-		}
-	}
-	if len(manufactured) == 0 {
-		s.str("<")
-		s.str(tn.Name)
-		s.str("/>")
-		return
-	}
-	s.str("<")
-	s.str(tn.Name)
-	s.str(">")
-	for _, kid := range manufactured {
-		s.streamFill(kid)
-	}
-	s.str("</")
-	s.str(tn.Name)
-	s.str(">")
+	return xw.Nodes(), err
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"xmorph/internal/closest"
 	"xmorph/internal/guard"
 	"xmorph/internal/semantics"
 	"xmorph/internal/shape"
@@ -210,17 +209,9 @@ func TestJoinEdgesCoverage(t *testing.T) {
 		tgt := plan.ComposedTarget()
 		pre := prefetchJoins(doc, tgt, 2, nil)
 		// Run lazily and compare the key sets the renderer actually used.
-		lazy := &renderer{doc: doc, b: xmltree.NewBuilder(), joins: map[joinKey]*closest.Grouped{}}
-		for _, root := range tgt.Roots {
-			if root.Source == "" {
-				lazy.emitWrapperRoot(root)
-				continue
-			}
-			for _, v := range doc.NodesOfType(root.Source) {
-				if lazy.satisfies(v, root.Require) {
-					lazy.emitNode(root, v)
-				}
-			}
+		lazy := newRenderer(doc, nil)
+		if _, err := lazy.tree(tgt, nil, nil); err != nil {
+			t.Fatal(err)
 		}
 		for k := range lazy.joins {
 			if _, ok := pre[k]; !ok {

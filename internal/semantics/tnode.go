@@ -226,7 +226,7 @@ func (n *TNode) EdgeCard(src *shape.Shape) shape.Card {
 	switch {
 	case n.Source == "":
 		// Manufactured node: one per instance of its first sourced child.
-		f := n.firstSourcedChild()
+		f := n.FirstSourced()
 		if f == nil || pSrc == "" {
 			return shape.One
 		}
@@ -237,7 +237,7 @@ func (n *TNode) EdgeCard(src *shape.Shape) shape.Card {
 	case p.Source == "":
 		// Child of a manufactured wrapper: the wrapper's first sourced
 		// child appears exactly once; siblings attach by closeness to it.
-		f := p.firstSourcedChild()
+		f := p.FirstSourced()
 		if f == n {
 			return shape.One
 		}
@@ -265,13 +265,23 @@ func (n *TNode) nearestSource() string {
 	return ""
 }
 
-func (n *TNode) firstSourcedChild() *TNode {
+// FirstSourced returns n's first sourced kid: for a manufactured (NEW or
+// TYPE-FILL) type, the anchor it renders once per instance of. It is nil
+// when every kid is manufactured.
+func (n *TNode) FirstSourced() *TNode {
 	for _, k := range n.Kids {
 		if k.Source != "" {
 			return k
 		}
 	}
 	return nil
+}
+
+// AttrLeaf reports whether n renders as an attribute wherever it sits
+// inside an element: a childless type sourced from attributes. At the
+// top level such a type renders as an element.
+func (n *TNode) AttrLeaf() bool {
+	return n.Source != "" && len(n.Kids) == 0 && xmltree.TypeIsAttr(n.Source)
 }
 
 // OutputShape derives the adorned shape of the rendered output: types are

@@ -82,12 +82,6 @@ func (s *Store) Shred(name string, r io.Reader, parent *obs.Span) (*ShredInfo, e
 	return &ShredInfo{Name: name, Types: len(sh.typeOrder), Nodes: sh.nodes}, nil
 }
 
-// ShredDocument shreds an already-parsed document (used by generators that
-// build documents in memory).
-func (s *Store) ShredDocument(name string, d *xmltree.Document) (*ShredInfo, error) {
-	return s.Shred(name, strings.NewReader(d.XML(false)), nil)
-}
-
 func (s *Store) nextDocID() (uint32, error) {
 	v, ok, err := s.db.Get([]byte{'C'})
 	if err != nil {

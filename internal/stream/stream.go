@@ -22,11 +22,9 @@
 package stream
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"xmorph/internal/obs"
 	"xmorph/internal/plan"
@@ -109,13 +107,7 @@ func Execute(src Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int,
 	if d := plan.Classify(tgt); !d.Streamable {
 		return 0, fmt.Errorf("%w: %s", ErrNotStreamable, d.Reason)
 	}
-	var cw *countingWriter
-	if sp != nil {
-		cw = &countingWriter{w: w}
-		w = cw
-	}
-	bw := bufio.NewWriter(w)
-	e := &exec{src: src, w: bw}
+	e := &exec{src: src, w: xmltree.NewWriter(w)}
 	// The execution tree mirrors the target structure with one node per
 	// occurrence: a TNode shared between two points of the target (label
 	// resolution and CLONE reuse subtrees) joins along a different axis
@@ -130,10 +122,7 @@ func Execute(src Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int,
 		}
 	}()
 	e.run(roots)
-	err := e.err
-	if ferr := bw.Flush(); err == nil {
-		err = ferr
-	}
+	err := e.w.Flush()
 	if err == nil {
 		for _, cu := range e.cursors {
 			if cerr := cu.c.Err(); cerr != nil {
@@ -143,22 +132,11 @@ func Execute(src Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int,
 		}
 	}
 	if sp != nil {
-		sp.Set("nodes-out", int64(e.count))
-		sp.Set("bytes-out", cw.n)
+		sp.Set("nodes-out", int64(e.w.Nodes()))
+		sp.Set("bytes-out", e.w.Bytes())
 		sp.Set("scans", int64(len(e.cursors)))
 	}
-	return e.count, err
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	return e.w.Nodes(), err
 }
 
 // cursor wraps a Cursor with its primed/valid state.
@@ -194,11 +172,8 @@ type xnode struct {
 
 type exec struct {
 	src     Source
-	w       *bufio.Writer
+	w       *xmltree.Writer
 	cursors []*cursor
-	count   int
-	wrote   bool // forest separator state
-	err     error
 }
 
 // prep builds the execution tree: one xnode per target-node occurrence,
@@ -206,7 +181,7 @@ type exec struct {
 func (e *exec) prep(tn *semantics.TNode, join string) *xnode {
 	if tn.Source == "" {
 		x := &xnode{tn: tn}
-		ftn := firstSourced(tn)
+		ftn := tn.FirstSourced()
 		if ftn == nil {
 			return x // static fill: rendered from the TNode alone
 		}
@@ -222,7 +197,7 @@ func (e *exec) prep(tn *semantics.TNode, join string) *xnode {
 		tn:       tn,
 		sourced:  true,
 		axis:     plan.AxisOf(join, tn.Source),
-		attrLeaf: len(tn.Kids) == 0 && typeIsAttr(tn.Source),
+		attrLeaf: tn.AttrLeaf(),
 	}
 	if x.axis != plan.AxisSelf {
 		x.cur = e.open(tn.Source)
@@ -257,23 +232,6 @@ func (e *exec) open(t string) *cursor {
 	return cu
 }
 
-func typeIsAttr(t string) bool {
-	name := t
-	if i := strings.LastIndex(t, xmltree.TypeSep); i >= 0 {
-		name = t[i+1:]
-	}
-	return strings.HasPrefix(name, "@")
-}
-
-func firstSourced(tn *semantics.TNode) *semantics.TNode {
-	for _, k := range tn.Kids {
-		if k.Source != "" {
-			return k
-		}
-	}
-	return nil
-}
-
 // cmpPrefix compares d's first len(p) components against p: the result
 // orders d's position relative to p's subtree (-1 before, 0 inside or
 // at p, +1 past). d must be at least as deep as p.
@@ -289,127 +247,53 @@ func cmpPrefix(d, p xmltree.Dewey) int {
 	return 0
 }
 
-// --- write helpers (stick at the first error) ---
-
-func (e *exec) str(s string) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.WriteString(s)
-}
-
-func (e *exec) escape(b []byte, inAttr bool) {
-	if e.err != nil {
-		return
-	}
-	start := 0
-	for i := 0; i < len(b); i++ {
-		var rep string
-		switch b[i] {
-		case '&':
-			rep = "&amp;"
-		case '<':
-			rep = "&lt;"
-		case '>':
-			rep = "&gt;"
-		case '"':
-			if !inAttr {
-				continue
-			}
-			rep = "&quot;"
-		default:
-			continue
-		}
-		if _, e.err = e.w.Write(b[start:i]); e.err != nil {
-			return
-		}
-		if _, e.err = e.w.WriteString(rep); e.err != nil {
-			return
-		}
-		start = i + 1
-	}
-	_, e.err = e.w.Write(b[start:])
-}
-
-// openTag closes the pending open tag with ">" exactly once; an element
-// whose flag stays false self-closes.
-func (e *exec) openTag(closed *bool) {
-	if !*closed {
-		e.str(">")
-		*closed = true
-	}
-}
-
-func (e *exec) sep() {
-	if e.wrote {
-		e.str("\n")
-	}
-	e.wrote = true
-}
-
-// --- emission (mirrors render.Render node for node) ---
+// --- emission ---
 
 func (e *exec) run(roots []*xnode) {
 	for _, root := range roots {
-		if e.err != nil {
-			return
-		}
+		a := root
 		if !root.sourced {
-			e.wrapperRoot(root)
+			a = root.first
+		}
+		if a == nil {
+			e.fill(root.tn)
 			continue
 		}
-		for cu := root.cur; cu.valid && e.err == nil; cu.advance() {
-			if !e.satisfies(root, cu.d()) {
-				continue
+		for cu := a.cur; cu.valid && e.w.Err() == nil; cu.advance() {
+			if e.satisfies(a, cu.d()) {
+				e.element(root, cu.d(), cu.v())
 			}
-			e.sep()
-			e.element(root, cu.d(), cu.v())
 		}
 	}
 }
 
-// element writes one element rendered from vertex (vd, vv): open tag
-// with attribute kids, own text, element kids, close tag or self-close.
+// element writes one element of x rendered from vertex (vd, vv): a
+// sourced type's own element, or a wrapper instance around its anchor
+// x.first at that vertex. Attribute kids go first, then the text, then
+// the element kids, the anchor leading.
 func (e *exec) element(x *xnode, vd xmltree.Dewey, vv []byte) {
-	e.count++
-	e.str("<")
-	e.str(x.tn.Name)
+	e.w.Open(x.tn.Name, nil)
+	first := x.first
+	if first != nil && first.attrLeaf {
+		e.w.AttributeBytes(first.tn.Name, vv)
+	}
 	for _, kid := range x.kids {
-		if kid.sourced && kid.attrLeaf {
+		if kid.attrLeaf {
 			e.attrKid(kid, vd, vv)
 		}
 	}
-	closed := false
-	if len(vv) > 0 {
-		e.openTag(&closed)
-		e.escape(vv, false)
+	if x.sourced {
+		e.w.CharDataBytes(vv)
+	}
+	if first != nil && !first.attrLeaf {
+		e.element(first, vd, vv)
 	}
 	for _, kid := range x.kids {
-		if !kid.sourced {
-			e.wrapper(kid, vd, vv, &closed)
-			continue
+		if !kid.attrLeaf {
+			e.emit(kid, vd, vv)
 		}
-		if kid.attrLeaf {
-			continue
-		}
-		e.elemKid(kid, vd, vv, &closed)
 	}
-	if !closed {
-		e.str("/>")
-		return
-	}
-	e.str("</")
-	e.str(x.tn.Name)
-	e.str(">")
-}
-
-func (e *exec) writeAttr(name string, val []byte) {
-	e.count++
-	e.str(" ")
-	e.str(name)
-	e.str(`="`)
-	e.escape(val, true)
-	e.str(`"`)
+	e.w.Close(x.tn.Name)
 }
 
 // attrKid drains an attribute-leaf kid's partners into the open tag.
@@ -417,7 +301,7 @@ func (e *exec) attrKid(kid *xnode, vd xmltree.Dewey, vv []byte) {
 	switch kid.axis {
 	case plan.AxisSelf:
 		if e.satisfies(kid, vd) {
-			e.writeAttr(kid.tn.Name, vv)
+			e.w.AttributeBytes(kid.tn.Name, vv)
 		}
 	case plan.AxisDown:
 		cu := kid.cur
@@ -426,179 +310,68 @@ func (e *exec) attrKid(kid *xnode, vd xmltree.Dewey, vv []byte) {
 		}
 		for cu.valid && cmpPrefix(cu.d(), vd) == 0 {
 			if e.satisfies(kid, cu.d()) {
-				e.writeAttr(kid.tn.Name, cu.v())
+				e.w.AttributeBytes(kid.tn.Name, cu.v())
 			}
 			cu.advance()
 		}
 	}
 }
 
-// elemKid emits an element-rendering sourced kid's partners.
-func (e *exec) elemKid(kid *xnode, vd xmltree.Dewey, vv []byte, closed *bool) {
-	switch kid.axis {
+// emit writes an element-rendering kid x of an element rendered from
+// (vd, vv): one element per partner of x's anchor — x itself when
+// sourced, a wrapper's first sourced kid — or one static fill subtree for
+// a wrapper without one.
+func (e *exec) emit(x *xnode, vd xmltree.Dewey, vv []byte) {
+	a := x
+	if !x.sourced {
+		a = x.first
+	}
+	if a == nil {
+		e.fill(x.tn)
+		return
+	}
+	switch a.axis {
 	case plan.AxisSelf:
-		if e.satisfies(kid, vd) {
-			e.openTag(closed)
-			e.element(kid, vd, vv)
+		if e.satisfies(a, vd) {
+			e.element(x, vd, vv)
 		}
 	case plan.AxisUp:
 		// The unique partner is the ancestor at the kid type's depth:
 		// the vertex whose Dewey number prefixes vd. It always exists
 		// (type paths are rooted); the cursor advances monotonically
-		// because parent vertices ascend.
-		cu := kid.cur
+		// because parent vertices ascend. The planner guarantees up-axis
+		// kids have no children.
+		cu := a.cur
 		for cu.valid && cmpPrefix(vd, cu.d()) > 0 {
 			cu.advance()
 		}
-		if cu.valid && cmpPrefix(vd, cu.d()) == 0 && e.satisfies(kid, cu.d()) {
-			e.openTag(closed)
-			e.leaf(kid, cu.v())
+		if cu.valid && cmpPrefix(vd, cu.d()) == 0 && e.satisfies(a, cu.d()) {
+			e.element(x, cu.d(), cu.v())
 		}
 	case plan.AxisDown:
-		cu := kid.cur
+		cu := a.cur
 		for cu.valid && cmpPrefix(cu.d(), vd) < 0 {
 			cu.advance()
 		}
 		for cu.valid && cmpPrefix(cu.d(), vd) == 0 {
-			if e.satisfies(kid, cu.d()) {
-				e.openTag(closed)
-				e.element(kid, cu.d(), cu.v())
+			if e.satisfies(a, cu.d()) {
+				e.element(x, cu.d(), cu.v())
 			}
 			cu.advance()
 		}
 	}
 }
 
-// leaf writes a childless element (the ancestor-axis case: the planner
-// guarantees up-axis kids have no children, and ancestor types are
-// never attributes).
-func (e *exec) leaf(x *xnode, vv []byte) {
-	e.count++
-	e.str("<")
-	e.str(x.tn.Name)
-	if len(vv) == 0 {
-		e.str("/>")
-		return
-	}
-	e.str(">")
-	e.escape(vv, false)
-	e.str("</")
-	e.str(x.tn.Name)
-	e.str(">")
-}
-
-// wrapper emits a manufactured node below an element rendered from
-// (vd, vv): one wrapper instance per anchor partner, or one static fill
-// subtree when it has no sourced child.
-func (e *exec) wrapper(x *xnode, vd xmltree.Dewey, vv []byte, closed *bool) {
-	first := x.first
-	if first == nil {
-		e.openTag(closed)
-		e.fill(x.tn)
-		return
-	}
-	switch first.axis {
-	case plan.AxisSelf:
-		if e.satisfies(first, vd) {
-			e.openTag(closed)
-			e.instance(x, vd, vv)
-		}
-	case plan.AxisDown:
-		cu := first.cur
-		for cu.valid && cmpPrefix(cu.d(), vd) < 0 {
-			cu.advance()
-		}
-		for cu.valid && cmpPrefix(cu.d(), vd) == 0 {
-			if e.satisfies(first, cu.d()) {
-				e.openTag(closed)
-				e.instance(x, cu.d(), cu.v())
-			}
-			cu.advance()
-		}
-	}
-}
-
-// wrapperRoot emits a manufactured root: the anchor scan runs over the
-// whole sequence.
-func (e *exec) wrapperRoot(x *xnode) {
-	first := x.first
-	if first == nil {
-		e.sep()
-		e.fill(x.tn)
-		return
-	}
-	for cu := first.cur; cu.valid && e.err == nil; cu.advance() {
-		if !e.satisfies(first, cu.d()) {
-			continue
-		}
-		e.sep()
-		e.instance(x, cu.d(), cu.v())
-	}
-}
-
-// instance writes one wrapper element around anchor vertex (wd, wv),
-// with sibling kids joined from the anchor.
-func (e *exec) instance(x *xnode, wd xmltree.Dewey, wv []byte) {
-	e.count++
-	e.str("<")
-	e.str(x.tn.Name)
-	first := x.first
-	if first.attrLeaf {
-		e.writeAttr(first.tn.Name, wv)
-	}
-	for _, kid := range x.kids {
-		if kid.sourced && kid.attrLeaf {
-			e.attrKid(kid, wd, wv)
-		}
-	}
-	closed := false
-	if !first.attrLeaf {
-		e.openTag(&closed)
-		e.element(first, wd, wv)
-	}
-	for _, kid := range x.kids {
-		if !kid.sourced {
-			e.wrapper(kid, wd, wv, &closed)
-			continue
-		}
-		if kid.attrLeaf {
-			continue
-		}
-		e.elemKid(kid, wd, wv, &closed)
-	}
-	if !closed {
-		e.str("/>")
-		return
-	}
-	e.str("</")
-	e.str(x.tn.Name)
-	e.str(">")
-}
-
-// fill writes a static manufactured subtree (manufactured kids only, as
-// the renderer's emitFillKids does).
+// fill writes a static manufactured subtree: manufactured kids only, as
+// the renderer does.
 func (e *exec) fill(tn *semantics.TNode) {
-	e.count++
-	e.str("<")
-	e.str(tn.Name)
-	wrote := false
+	e.w.Open(tn.Name, nil)
 	for _, kid := range tn.Kids {
-		if kid.Source != "" {
-			continue
+		if kid.Source == "" {
+			e.fill(kid)
 		}
-		if !wrote {
-			e.str(">")
-			wrote = true
-		}
-		e.fill(kid)
 	}
-	if !wrote {
-		e.str("/>")
-		return
-	}
-	e.str("</")
-	e.str(tn.Name)
-	e.str(">")
+	e.w.Close(tn.Name)
 }
 
 // satisfies checks x's RESTRICT requirements against the candidate

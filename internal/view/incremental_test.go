@@ -39,6 +39,27 @@ func checkPatched(t *testing.T, v *View, guard string, wantPatches int) {
 	if got, want := out.XML(false), transformed(t, guard, v.Source()); got != want {
 		t.Errorf("patched output diverged:\nview:  %s\nfresh: %s", got, want)
 	}
+	assertParsesBack(t, out)
+}
+
+// assertParsesBack checks that out's nodes, in Nodes() order, match those
+// of parsing out's own serialization — name, attribute flag, value and
+// Dewey number — so patches keep each element's attributes first, as
+// the parser lists them. A forest parses under a stand-in root.
+func assertParsesBack(t *testing.T, out *xmltree.Document) {
+	t.Helper()
+	parsed := xmltree.MustParse("<forest>" + out.XML(false) + "</forest>").Nodes()[1:]
+	got := out.Nodes()
+	if len(got) != len(parsed) {
+		t.Fatalf("output has %d nodes, parsed back %d", len(got), len(parsed))
+	}
+	for i, n := range got {
+		p := parsed[i]
+		if n.Name != p.Name || n.Attr != p.Attr || n.Value != p.Value || !n.Dewey.Equal(p.Dewey[1:]) {
+			t.Errorf("node %d: output %s=%q at %s, parsed %s=%q at %s",
+				i, n.Name, n.Value, n.Dewey, p.Name, p.Value, p.Dewey[1:])
+		}
+	}
 }
 
 // TestIncrementalInsertIntoExistingEmission: a new source vertex whose
@@ -121,6 +142,41 @@ func TestIncrementalAttributeEmissions(t *testing.T) {
 	if !strings.Contains(out.XML(false), `<book id="3">`) {
 		t.Errorf("attribute missing from patched emission: %s", out.XML(false))
 	}
+
+	// An element kid named before an attribute kid: the book emission's
+	// children start with the attribute, and a second title must splice
+	// in after both the attribute and the first title.
+	guard = "MORPH book [ title id ]"
+	v, err = Materialize(guard, xmltree.MustParse(attrSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.InsertSubtree(dw(t, "1.1"), `<title>X2</title>`); err != nil {
+		t.Fatal(err)
+	}
+	checkPatched(t, v, guard, 1)
+	out, _ = v.Output()
+	if !strings.Contains(out.XML(false), `<book id="1"><title>X</title><title>X2</title></book>`) {
+		t.Errorf("title spliced out of order: %s", out.XML(false))
+	}
+}
+
+// TestIncrementalWrapperAnchorBehindAttribute: a wrapper instance lists
+// its attribute kids before its anchor's element, so a splice must find
+// each instance's anchor by type, not by position.
+func TestIncrementalWrapperAnchorBehindAttribute(t *testing.T) {
+	const attrSrc = `<data id="d"><book><title>X</title></book><book><title>Y</title></book></data>`
+	guard := "CAST-WIDENING MORPH (NEW entry) [ title id ]"
+	v, err := Materialize(guard, xmltree.MustParse(attrSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second title in the first book: its instance goes between the
+	// first book's and the second book's.
+	if err := v.InsertSubtree(dw(t, "1.2"), `<title>X2</title>`); err != nil {
+		t.Fatal(err)
+	}
+	checkPatched(t, v, guard, 1)
 }
 
 // TestIncrementalFallsBackWhenTargetChanges: when an edit changes what

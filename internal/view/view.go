@@ -48,15 +48,19 @@ type View struct {
 	// first sourced child).
 	anchors map[*xmltree.Node][]*xmltree.Node
 	// rank is each target type's emission slot among its parent's
-	// children (roots: the slot in the output root list). A wrapper's
-	// first sourced child renders before its siblings and gets -1.
+	// children (roots: the slot in the output root list), in the
+	// renderer's order: attribute kids, then a wrapper's anchor, then the
+	// other element kids.
 	rank map[*semantics.TNode]int
 	// gens lists, per source type, the target types that materialize a
 	// new emission when an instance of that type appears.
 	gens map[string][]*semantics.TNode
 	// incOK reports the target is patchable: no RESTRICT requirements.
 	incOK bool
-	stale bool
+	// nonlocal is set when partnersOf meets a join it cannot localize;
+	// patchInsert then leaves the view to go stale.
+	nonlocal bool
+	stale    bool
 	// renders counts full (re-)renders; patches counts structural
 	// updates absorbed in place. Both are exposed for tests/monitoring.
 	renders int
@@ -103,8 +107,7 @@ func (v *View) reindexOutput() {
 			src := n.Src.Origin()
 			v.copies[src] = append(v.copies[src], n)
 		}
-		if tn := v.prov[n]; tn != nil && tn.Source == "" && len(n.Children) > 0 && n.Children[0].Src != nil {
-			w := n.Children[0].Src.Origin()
+		if w := v.anchorOf(n); w != nil {
 			v.anchors[w] = append(v.anchors[w], n)
 		}
 	}
@@ -137,44 +140,39 @@ func (v *View) scanNode(tn *semantics.TNode, live bool) {
 		// wrapper instance; every other live sourced type generates
 		// emissions of its own.
 		p := tn.Parent()
-		anchor := p != nil && p.Source == "" && firstSourcedOf(p) == tn
+		anchor := p != nil && p.Source == "" && p.FirstSourced() == tn
 		if live && !anchor {
 			v.gens[tn.Source] = append(v.gens[tn.Source], tn)
 		}
-		for i, k := range tn.Kids {
-			v.rank[k] = i
-			v.scanNode(k, live)
-		}
+		v.scanKids(tn, nil, live)
 		return
 	}
-	first := firstSourcedOf(tn)
+	first := tn.FirstSourced()
 	if first == nil || !live {
 		// Fill wrapper (or any wrapper under one): a static subtree of
 		// manufactured elements; sourced descendants never render.
-		for i, k := range tn.Kids {
-			v.rank[k] = i
-			v.scanNode(k, false)
-		}
+		v.scanKids(tn, nil, false)
 		return
 	}
 	v.gens[first.Source] = append(v.gens[first.Source], tn)
-	for i, k := range tn.Kids {
-		if k == first {
-			v.rank[k] = -1
-		} else {
-			v.rank[k] = i
-		}
-		v.scanNode(k, true)
-	}
+	v.scanKids(tn, first, true)
 }
 
-func firstSourcedOf(tn *semantics.TNode) *semantics.TNode {
-	for _, k := range tn.Kids {
-		if k.Source != "" {
-			return k
+// scanKids ranks tn's kids in emission order — attribute kids (in
+// target order, below -1), then a wrapper's element anchor (-1), then
+// the other element kids (their target index) — and indexes each.
+func (v *View) scanKids(tn, first *semantics.TNode, live bool) {
+	for i, k := range tn.Kids {
+		switch {
+		case k.AttrLeaf():
+			v.rank[k] = i - len(tn.Kids) - 1
+		case k == first:
+			v.rank[k] = -1
+		default:
+			v.rank[k] = i
 		}
+		v.scanNode(k, live)
 	}
-	return nil
 }
 
 // Output returns the materialized document, re-rendering first if a
@@ -338,11 +336,14 @@ func sameTNode(a, b *semantics.TNode) bool {
 // depth of the two types' common label prefix (exactly the pairs the
 // renderer's sort-merge closest join produces, computed locally). The
 // relation is symmetric, so this also enumerates the context vertices
-// whose emissions x newly joins.
-func (v *View) partnersOf(x *xmltree.Node, T string) ([]*xmltree.Node, bool) {
+// whose emissions x newly joins. Types with no common prefix are
+// joined over whole sequences, which no local patch can do: partnersOf
+// then sets v.nonlocal and returns nothing.
+func (v *View) partnersOf(x *xmltree.Node, T string) []*xmltree.Node {
 	l := closest.TypeLCP(x.Type, T)
 	if l == 0 {
-		return nil, false
+		v.nonlocal = true
+		return nil
 	}
 	a := x
 	for len(a.Dewey) > l {
@@ -356,7 +357,7 @@ func (v *View) partnersOf(x *xmltree.Node, T string) ([]*xmltree.Node, bool) {
 		}
 		return true
 	})
-	return out, true
+	return out
 }
 
 // patchInsert splices the emissions generated by the grafted subtree s
@@ -365,16 +366,14 @@ func (v *View) partnersOf(x *xmltree.Node, T string) ([]*xmltree.Node, bool) {
 func (v *View) patchInsert(s *xmltree.Node) bool {
 	inS := map[*xmltree.Node]bool{}
 	s.Walk(func(n *xmltree.Node) bool { inS[n] = true; return true })
-	ok := true
+	v.nonlocal = false
 	s.Walk(func(x *xmltree.Node) bool {
 		for _, g := range v.gens[x.Type] {
-			if !v.insertEmissions(g, x, inS) {
-				ok = false
-			}
+			v.insertEmissions(g, x, inS)
 		}
-		return ok
+		return !v.nonlocal
 	})
-	if !ok {
+	if v.nonlocal {
 		return false
 	}
 	v.reindexOutput()
@@ -382,47 +381,37 @@ func (v *View) patchInsert(s *xmltree.Node) bool {
 }
 
 // insertEmissions materializes generator g's new emission driven by
-// source vertex x, splicing one unit into every existing host. Emissions
-// whose context vertex lies inside the grafted subtree are skipped: the
-// unit built for the enclosing new emission renders them itself.
-func (v *View) insertEmissions(g *semantics.TNode, x *xmltree.Node, inS map[*xmltree.Node]bool) bool {
+// source vertex x, splicing one unit into every existing host. The
+// render walk builds each unit, joining through the local partnersOf.
+// Emissions whose context vertex lies inside the grafted subtree are
+// skipped: the unit built for the enclosing new emission renders them
+// itself.
+func (v *View) insertEmissions(g *semantics.TNode, x *xmltree.Node, inS map[*xmltree.Node]bool) {
 	p := g.Parent()
 	if p == nil {
-		unit, ok := v.buildUnit(g, x, false)
-		if !ok {
-			return false
-		}
 		idx := v.spliceIndex(v.output.Roots, g, x)
-		v.output.Roots = insertAt(v.output.Roots, idx, unit)
-		return true
+		v.output.Roots = insertAt(v.output.Roots, idx, render.Unit(g, x, false, v.partnersOf, v.prov))
+		return
 	}
 	ctxType := p.Source
 	if ctxType == "" {
-		f := firstSourcedOf(p)
+		f := p.FirstSourced()
 		if f == nil {
-			return true // static fill wrapper: no dynamic emissions below
+			return // static fill wrapper: no dynamic emissions below
 		}
 		ctxType = f.Source
 	}
-	ctxs, ok := v.partnersOf(x, ctxType)
-	if !ok {
-		return false
-	}
-	for _, ctx := range ctxs {
+	for _, ctx := range v.partnersOf(x, ctxType) {
 		if inS[ctx] {
 			continue
 		}
 		for _, h := range v.hostsOf(p, ctx) {
-			unit, ok := v.buildUnit(g, x, true)
-			if !ok {
-				return false
-			}
+			unit := render.Unit(g, x, true, v.partnersOf, v.prov)
 			idx := v.spliceIndex(h.Children, g, x)
 			h.Children = insertAt(h.Children, idx, unit)
 			unit.Parent = h
 		}
 	}
-	return true
 }
 
 // hostsOf returns the output nodes that are emissions of target type p
@@ -471,124 +460,33 @@ func (v *View) spliceIndex(list []*xmltree.Node, g *semantics.TNode, x *xmltree.
 
 // driverOf returns the source vertex whose existence an output node's
 // emission is tied to: its provenance for sourced emissions, the anchor
-// (first sourced child's instance) for wrapper instances, nil for
-// static fill elements.
+// for wrapper instances, nil for static fill elements.
 func (v *View) driverOf(c *xmltree.Node) *xmltree.Node {
 	if c.Src != nil {
 		return c.Src.Origin()
 	}
-	if tn := v.prov[c]; tn != nil && tn.Source == "" && len(c.Children) > 0 && c.Children[0].Src != nil {
-		return c.Children[0].Src.Origin()
+	return v.anchorOf(c)
+}
+
+// anchorOf returns the source vertex wrapper instance c is anchored on —
+// the provenance of its first sourced kid's emission, which need not be
+// c's first child, as attributes come first — or nil when c is no
+// wrapper instance.
+func (v *View) anchorOf(c *xmltree.Node) *xmltree.Node {
+	tn := v.prov[c]
+	if tn == nil || tn.Source != "" {
+		return nil
+	}
+	first := tn.FirstSourced()
+	if first == nil {
+		return nil
+	}
+	for _, k := range c.Children {
+		if v.prov[k] == first {
+			return k.Src.Origin()
+		}
 	}
 	return nil
-}
-
-// buildUnit renders one new emission of generator g driven by x as a
-// detached subtree, mirroring the renderer's emit rules with the local
-// partner computation. open mirrors the builder's open-element state
-// (an attribute vertex renders as an attribute only inside an element).
-func (v *View) buildUnit(g *semantics.TNode, x *xmltree.Node, open bool) (*xmltree.Node, bool) {
-	if g.Source != "" {
-		return v.buildNode(g, x, open)
-	}
-	return v.buildWrapper(g, firstSourcedOf(g), x)
-}
-
-// buildNode mirrors the renderer's emitNode.
-func (v *View) buildNode(tn *semantics.TNode, x *xmltree.Node, open bool) (*xmltree.Node, bool) {
-	if x.Attr && len(tn.Kids) == 0 && open {
-		n := &xmltree.Node{Name: "@" + tn.Name, Value: x.Value, Attr: true, Src: x}
-		v.prov[n] = tn
-		return n, true
-	}
-	n := &xmltree.Node{Name: tn.Name, Value: x.Value, Src: x}
-	v.prov[n] = tn
-	ok := true
-	for _, kid := range tn.Kids {
-		if kid.Source == "" {
-			insts, kok := v.buildWrapperKid(kid, x)
-			ok = ok && kok
-			for _, inst := range insts {
-				appendKid(n, inst)
-			}
-			continue
-		}
-		ws, kok := v.partnersOf(x, kid.Source)
-		ok = ok && kok
-		for _, w := range ws {
-			c, cok := v.buildNode(kid, w, true)
-			ok = ok && cok
-			appendKid(n, c)
-		}
-	}
-	return n, ok
-}
-
-// buildWrapperKid mirrors the renderer's emitWrapper: one instance per
-// closest partner of the wrapper's first sourced child, or a single
-// static fill subtree when it has none.
-func (v *View) buildWrapperKid(tn *semantics.TNode, ctx *xmltree.Node) ([]*xmltree.Node, bool) {
-	first := firstSourcedOf(tn)
-	if first == nil {
-		return []*xmltree.Node{v.buildFill(tn)}, true
-	}
-	ws, ok := v.partnersOf(ctx, first.Source)
-	var out []*xmltree.Node
-	for _, w := range ws {
-		inst, iok := v.buildWrapper(tn, first, w)
-		ok = ok && iok
-		out = append(out, inst)
-	}
-	return out, ok
-}
-
-// buildWrapper renders one wrapper instance anchored at w: the first
-// sourced child's emission, then the remaining children joined by
-// closeness to w (the renderer's emitSiblingsOf).
-func (v *View) buildWrapper(tn, first *semantics.TNode, w *xmltree.Node) (*xmltree.Node, bool) {
-	n := &xmltree.Node{Name: tn.Name}
-	v.prov[n] = tn
-	c, ok := v.buildNode(first, w, true)
-	appendKid(n, c)
-	for _, kid := range tn.Kids {
-		if kid == first {
-			continue
-		}
-		if kid.Source == "" {
-			insts, kok := v.buildWrapperKid(kid, w)
-			ok = ok && kok
-			for _, inst := range insts {
-				appendKid(n, inst)
-			}
-			continue
-		}
-		us, kok := v.partnersOf(w, kid.Source)
-		ok = ok && kok
-		for _, u := range us {
-			cc, cok := v.buildNode(kid, u, true)
-			ok = ok && cok
-			appendKid(n, cc)
-		}
-	}
-	return n, ok
-}
-
-// buildFill mirrors the renderer's emitFillKids: a static subtree of
-// manufactured elements.
-func (v *View) buildFill(tn *semantics.TNode) *xmltree.Node {
-	n := &xmltree.Node{Name: tn.Name}
-	v.prov[n] = tn
-	for _, kid := range tn.Kids {
-		if kid.Source == "" {
-			appendKid(n, v.buildFill(kid))
-		}
-	}
-	return n
-}
-
-func appendKid(p, c *xmltree.Node) {
-	c.Parent = p
-	p.Children = append(p.Children, c)
 }
 
 func insertAt(list []*xmltree.Node, i int, n *xmltree.Node) []*xmltree.Node {

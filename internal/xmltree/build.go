@@ -6,8 +6,8 @@ import "fmt"
 // used by the renderer (Section VII) to assemble output forests and by the
 // dataset generators.
 //
-// The zero value is ready to use; Elem/Attr/Text/End mirror a SAX-style
-// event stream.
+// Open/Attribute/CharData/Close take a SAX-style event stream, the same
+// calls a Writer serializes; Elem/Attr/Text/End are their chaining forms.
 type Builder struct {
 	doc   *Document
 	stack []*Node
@@ -20,14 +20,15 @@ func NewBuilder() *Builder {
 	return &Builder{doc: &Document{}}
 }
 
-// Elem opens a new element with the given name under the current element
-// and makes it current. At the top level each Elem starts a new root tree:
-// builders may produce forests (rendered transformations are forests).
-func (b *Builder) Elem(name string) *Builder {
+// Open starts element name under the current element, with src as its
+// provenance, makes it current and returns it. At the top level each
+// element starts a new root tree: builders may produce forests (rendered
+// transformations are forests).
+func (b *Builder) Open(name string, src *Node) *Node {
 	if b.err != nil {
-		return b
+		return nil
 	}
-	n := &Node{Name: name}
+	n := &Node{Name: name, Src: src}
 	if len(b.stack) == 0 {
 		b.doc.Roots = append(b.doc.Roots, n)
 		n.Dewey = Dewey{len(b.doc.Roots)}
@@ -37,58 +38,64 @@ func (b *Builder) Elem(name string) *Builder {
 	}
 	b.last = n
 	b.stack = append(b.stack, n)
-	return b
+	return n
 }
 
-// Last returns the node most recently created by Elem or Attr; the
-// renderer uses it to attach Src provenance. It is nil before the first
-// element.
-func (b *Builder) Last() *Node { return b.last }
-
-// Open reports whether an element is currently open (attributes may only
-// be added inside an open element).
-func (b *Builder) Open() bool { return len(b.stack) > 0 }
-
-// Attr adds an attribute to the current element.
-func (b *Builder) Attr(name, value string) *Builder {
+// Attribute adds attribute name to the current element, with src as its
+// provenance, and returns it.
+func (b *Builder) Attribute(name, value string, src *Node) *Node {
 	if b.err != nil {
-		return b
+		return nil
 	}
 	if len(b.stack) == 0 {
 		b.err = fmt.Errorf("xmltree: builder: attribute %q outside any element", name)
-		return b
+		return nil
 	}
-	n := &Node{Name: "@" + name, Value: value, Attr: true}
+	n := &Node{Name: "@" + name, Value: value, Attr: true, Src: src}
 	attach(b.stack[len(b.stack)-1], n)
 	b.last = n
-	return b
+	return n
 }
 
-// Text appends character data to the current element's value.
-func (b *Builder) Text(s string) *Builder {
+// CharData appends character data to the current element's value.
+func (b *Builder) CharData(s string) {
 	if b.err != nil {
-		return b
+		return
 	}
 	if len(b.stack) == 0 {
 		b.err = fmt.Errorf("xmltree: builder: text outside any element")
-		return b
+		return
 	}
 	b.stack[len(b.stack)-1].Value += s
-	return b
 }
 
-// End closes the current element.
-func (b *Builder) End() *Builder {
+// Close ends the current element (name is not checked).
+func (b *Builder) Close(string) {
 	if b.err != nil {
-		return b
+		return
 	}
 	if len(b.stack) == 0 {
 		b.err = fmt.Errorf("xmltree: builder: End without open element")
-		return b
+		return
 	}
 	b.stack = b.stack[:len(b.stack)-1]
-	return b
 }
+
+// Last returns the node most recently created by Open or Attribute; it
+// is nil before the first element.
+func (b *Builder) Last() *Node { return b.last }
+
+// Elem is Open without provenance, for chaining.
+func (b *Builder) Elem(name string) *Builder { b.Open(name, nil); return b }
+
+// Attr is Attribute without provenance, for chaining.
+func (b *Builder) Attr(name, value string) *Builder { b.Attribute(name, value, nil); return b }
+
+// Text is CharData, for chaining.
+func (b *Builder) Text(s string) *Builder { b.CharData(s); return b }
+
+// End is Close, for chaining.
+func (b *Builder) End() *Builder { b.Close(""); return b }
 
 // Leaf writes Elem(name), Text(value), End() in one call.
 func (b *Builder) Leaf(name, value string) *Builder {

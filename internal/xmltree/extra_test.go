@@ -39,20 +39,62 @@ func TestIndentedSerialization(t *testing.T) {
 	}
 }
 
-func TestEscapeHelpers(t *testing.T) {
+// TestWriterEscaping: text escapes "&", "<" and ">"; attribute values
+// escape '"' as well — the escape set of Document.WriteXML.
+func TestWriterEscaping(t *testing.T) {
 	var b strings.Builder
-	if err := EscapeText(&b, `1 < 2 & "q"`); err != nil {
+	w := NewWriter(&b)
+	w.Open("r", nil)
+	w.Attribute("k", `a"b<c`, nil)
+	w.CharDataBytes([]byte(`1 < 2 & "q"`))
+	w.Close("r")
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if b.String() != `1 &lt; 2 &amp; "q"` {
-		t.Errorf("EscapeText = %q", b.String())
+	if want := `<r k="a&quot;b&lt;c">1 &lt; 2 &amp; "q"</r>`; b.String() != want {
+		t.Errorf("escaped = %q, want %q", b.String(), want)
 	}
-	b.Reset()
-	if err := EscapeAttr(&b, `a"b<c`); err != nil {
+}
+
+// TestWriterMatchesSerializer: the Writer and a Builder fed the same
+// events give the same bytes — self-closing, nesting and the forest
+// separator included.
+func TestWriterMatchesSerializer(t *testing.T) {
+	feed := func(e interface {
+		Open(string, *Node) *Node
+		Attribute(string, string, *Node) *Node
+		CharData(string)
+		Close(string)
+	}) {
+		e.Open("a", nil)
+		e.Attribute("id", "1", nil)
+		e.Open("b", nil)
+		e.Close("b")
+		e.Open("c", nil)
+		e.CharData("x&y")
+		e.Close("c")
+		e.Close("a")
+		e.Open("a", nil)
+		e.Attribute("id", "2", nil)
+		e.Close("a")
+		e.Open("d", nil)
+		e.CharData("")
+		e.Close("d")
+	}
+	b := NewBuilder()
+	feed(b)
+	var sb strings.Builder
+	w := NewWriter(&sb)
+	feed(w)
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if b.String() != `a&quot;b&lt;c` {
-		t.Errorf("EscapeAttr = %q", b.String())
+	want := b.MustDocument()
+	if sb.String() != want.XML(false) {
+		t.Errorf("writer = %q, serializer = %q", sb.String(), want.XML(false))
+	}
+	if w.Nodes() != want.Size() || w.Bytes() != int64(sb.Len()) {
+		t.Errorf("writer counts %d nodes %d bytes, want %d and %d", w.Nodes(), w.Bytes(), want.Size(), sb.Len())
 	}
 }
 

@@ -193,6 +193,12 @@ func TypeLocalName(t string) string {
 	return strings.TrimPrefix(t, "@")
 }
 
+// TypeIsAttr reports whether the rooted type path t names attributes
+// (its last component carries the "@" marker).
+func TypeIsAttr(t string) bool {
+	return strings.HasPrefix(t[strings.LastIndex(t, TypeSep)+1:], "@")
+}
+
 // TypeParent returns the type path of t's parent type ("" for a root type).
 func TypeParent(t string) string {
 	if i := strings.LastIndex(t, TypeSep); i >= 0 {

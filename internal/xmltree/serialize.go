@@ -95,20 +95,6 @@ func writeEscaped(w *errWriter, s string, inAttr bool) {
 	w.writeString(s[start:])
 }
 
-// EscapeText writes s with XML character-data escaping ("&", "<", ">").
-func EscapeText(w io.Writer, s string) error {
-	ew := &errWriter{w: w}
-	writeEscaped(ew, s, false)
-	return ew.err
-}
-
-// EscapeAttr writes s with XML attribute-value escaping (adds '"').
-func EscapeAttr(w io.Writer, s string) error {
-	ew := &errWriter{w: w}
-	writeEscaped(ew, s, true)
-	return ew.err
-}
-
 // errWriter sticks at the first write error so serialization code can stay
 // un-cluttered.
 type errWriter struct {
